@@ -11,9 +11,9 @@ and records, per case:
 - ``uncached_ms``    — steady state at the auto FFT policy with the
   spectrum cache disabled (isolates the caching win from the policy win);
 - ``cached_ms``      — steady state with the spectrum cache enabled;
-- ``layer_cached_ms``— steady state through ``nn.Conv2d`` (the full
-  engine path: plan cache + layer spectrum cache);
-- ``workers_ms``     — cached steady state with batch thread-chunking;
+- ``layer_cached_ms``— steady state through ``nn.Conv2d`` (the public
+  layer path: ``F.conv2d``, registry dispatch, the engine's plan and
+  spectrum caches);
 - ``speedup``        — ``seed_ms / cached_ms`` (repeated same-shape calls
   versus the seed implementation);
 - ``cache_speedup``  — ``uncached_ms / cached_ms``.
@@ -160,7 +160,7 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
 
     Returns an entry shaped like :func:`run_case`'s (same gate metrics:
     ``cached_ms``, ``fft_calls``/``fft_rows``, ``guard_fallbacks``) with
-    the seed/uncached/layer/workers columns absent — those paths only
+    the seed/uncached/layer columns absent — those paths only
     exist for the native 2D engine.
     """
     from repro.baselines.ndops import (
@@ -309,7 +309,6 @@ class ServePreset:
     max_batch: int = 8
     max_wait_ms: float = 5.0
     workers: int = 1
-    mode: str = "thread"
     min_speedup: float | None = None
     heavy: bool = False  # skipped in --smoke runs
 
@@ -366,7 +365,7 @@ def run_serve_case(preset: ServePreset, repeats: int = 5) -> dict:
 
     with ConvServer(max_batch=preset.max_batch,
                     max_wait_ms=preset.max_wait_ms,
-                    workers=preset.workers, mode=preset.mode) as server:
+                    workers=preset.workers) as server:
         server.conv2d(xs[0], weight, bias, padding=preset.padding,
                       groups=preset.groups, timeout=30)
         served_s = float("inf")
@@ -405,7 +404,6 @@ def run_serve_case(preset: ServePreset, repeats: int = 5) -> dict:
         "max_batch": preset.max_batch,
         "max_wait_ms": preset.max_wait_ms,
         "workers": preset.workers,
-        "mode": preset.mode,
         "sequential_ms": round(seq_s * 1e3, 4),
         "served_ms": round(served_s * 1e3, 4),
         "sequential_rps": round(preset.requests / seq_s, 1),
@@ -561,8 +559,7 @@ def _time_interleaved(fns: dict[str, object], repeats: int,
     return {name: t * 1e3 for name, t in best.items()}
 
 
-def run_case(case: BenchCase, repeats: int = 25,
-             workers: int | None = 2) -> dict:
+def run_case(case: BenchCase, repeats: int = 25) -> dict:
     """Measure every engine path for one suite case.
 
     The default 25 repeats give each path a best-of floor sampled over 5
@@ -583,13 +580,13 @@ def run_case(case: BenchCase, repeats: int = 25,
                       groups=case.groups)
     x, w = random_problem(shape)
 
-    def call(**kw):
+    def call():
         return mc.conv2d_polyhankel(x, w, padding=case.padding,
                                     stride=case.stride,
                                     dilation=case.dilation,
                                     groups=case.groups,
                                     strategy=case.strategy,
-                                    backend=case.backend, **kw)
+                                    backend=case.backend)
 
     # Cold: plan + spectrum built from nothing.
     mc.clear_plan_cache()
@@ -626,8 +623,6 @@ def run_case(case: BenchCase, repeats: int = 25,
     if not case.extended:
         fns["seed"] = lambda: _seed_conv2d(x, w, case.padding,
                                            case.strategy, case.backend)
-    if workers and case.batch > 1:
-        fns["workers"] = lambda: call(workers=workers)
     # Conv2d always runs the default (numpy) backend, so the layer column
     # is only meaningful for numpy cases.
     if case.backend == "numpy":
@@ -676,7 +671,6 @@ def run_case(case: BenchCase, repeats: int = 25,
     seed_ms = times.get("seed")
     uncached_ms = times["uncached"]
     cached_ms = times["cached"]
-    workers_ms = times.get("workers")
     layer_cached_ms = times.get("layer")
 
     # Percent of the CPU roofline lower bound the warm call achieves
@@ -702,8 +696,6 @@ def run_case(case: BenchCase, repeats: int = 25,
         "cached_ms": round(cached_ms, 4),
         "layer_cached_ms": round(layer_cached_ms, 4)
         if layer_cached_ms is not None else None,
-        "workers_ms": round(workers_ms, 4) if workers_ms is not None
-        else None,
         "speedup": round(seed_ms / cached_ms, 3)
         if cached_ms and seed_ms is not None else None,
         "cache_speedup": round(uncached_ms / cached_ms, 3)
@@ -725,8 +717,7 @@ def env_pins() -> dict[str, str | None]:
     return {name: os.environ.get(name) for name in ENV_PINS}
 
 
-def run_suite(smoke: bool = False, repeats: int = 25,
-              workers: int | None = 2, serve: bool = True,
+def run_suite(smoke: bool = False, repeats: int = 25, serve: bool = True,
               cluster: bool = True, overload: bool = True) -> dict:
     """Run the whole suite; ``smoke=True`` trims repeats and heavy cases."""
     from repro.core.multichannel import plan_cache_info, spectrum_cache_info
@@ -741,7 +732,7 @@ def run_suite(smoke: bool = False, repeats: int = 25,
     if smoke:
         repeats = min(repeats, 2)
     cases = [c for c in SUITE if not (smoke and c.heavy)]
-    results = [run_case(c, repeats=repeats, workers=workers) for c in cases]
+    results = [run_case(c, repeats=repeats) for c in cases]
     results += [run_nd_case(c, repeats=repeats)
                 for c in ND_SUITE if not (smoke and c.heavy)]
     serve_results = []
@@ -782,7 +773,6 @@ def run_suite(smoke: bool = False, repeats: int = 25,
         "date": datetime.date.today().isoformat(),
         "smoke": smoke,
         "repeats": repeats,
-        "workers": workers,
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -1092,7 +1082,7 @@ def format_report(report: dict) -> str:
     lines = [f"bench {report['date']}  (repeats={report['repeats']}, "
              f"smoke={report['smoke']})"]
     header = (f"{'case':<24} {'layout':<12} {'first':>9} {'seed':>9} "
-              f"{'uncached':>9} {'cached':>9} {'layer':>9} {'workers':>9} "
+              f"{'uncached':>9} {'cached':>9} {'layer':>9} "
               f"{'speedup':>8} {'roofline':>8}")
     lines.append(header)
     for r in report["results"]:
@@ -1108,7 +1098,7 @@ def format_report(report: dict) -> str:
             f"{r['name']:<24} {r.get('layout') or '-':<12} "
             f"{r['first_call_ms']:9.3f} {col(r.get('seed_ms'))} "
             f"{col(r.get('uncached_ms'))} {r['cached_ms']:9.3f} "
-            f"{col(r.get('layer_cached_ms'))} {col(r.get('workers_ms'))} "
+            f"{col(r.get('layer_cached_ms'))} "
             f"{sp} {rf}")
     if report.get("serve"):
         lines.append("")
@@ -1156,8 +1146,8 @@ def write_report(report: dict, path: str | None = None) -> str:
     return path
 
 
-def _remeasure_flagged(report: dict, flagged: set[str], repeats: int,
-                       workers: int | None) -> None:
+def _remeasure_flagged(report: dict, flagged: set[str],
+                       repeats: int) -> None:
     """Confirmation pass: re-run flagged cases with more repeats, keep the
     per-metric minimum.  A transient background-load spike during the first
     pass then cannot fail the gate; a real regression reproduces."""
@@ -1168,14 +1158,13 @@ def _remeasure_flagged(report: dict, flagged: set[str], repeats: int,
         if name not in flagged:
             continue
         if name in by_name:
-            retry = run_case(by_name[name], repeats=repeats,
-                             workers=workers)
+            retry = run_case(by_name[name], repeats=repeats)
         elif name in nd_by_name:
             retry = run_nd_case(nd_by_name[name], repeats=repeats)
         else:
             continue
         for metric in ("cached_ms", "uncached_ms", "seed_ms",
-                       "layer_cached_ms", "workers_ms"):
+                       "layer_cached_ms"):
             old, new = entry.get(metric), retry.get(metric)
             if old is not None and new is not None:
                 entry[metric] = min(old, new)
@@ -1267,8 +1256,7 @@ def _remeasure_overload_flagged(report: dict, flagged: set[str]) -> None:
 
 
 def run_check(report: dict, baseline_path: str, tolerance: float,
-              counter_tolerance: float, repeats: int,
-              workers: int | None) -> int:
+              counter_tolerance: float, repeats: int) -> int:
     """Gate *report* against the baseline at *baseline_path* (0 == pass)."""
     from repro.observe.regression import (
         compare_reports, format_check, load_baseline,
@@ -1296,8 +1284,7 @@ def run_check(report: dict, baseline_path: str, tolerance: float,
         print(f"[re-measuring {len(flagged_all)} "
               f"flagged case(s) with {2 * repeats} repeats]")
         if wall_flagged:
-            _remeasure_flagged(report, wall_flagged, repeats=2 * repeats,
-                               workers=workers)
+            _remeasure_flagged(report, wall_flagged, repeats=2 * repeats)
         if serve_flagged:
             _remeasure_serve_flagged(report, serve_flagged,
                                      repeats=2 * repeats)
@@ -1326,8 +1313,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="alias for --smoke (the CI gate's spelling)")
     parser.add_argument("--repeats", type=int, default=25)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="thread count for the workers column")
     parser.add_argument("--out", default=None,
                         help="output JSON path (default BENCH_<date>.json)")
     parser.add_argument("--no-json", action="store_true",
@@ -1371,8 +1356,7 @@ def main(argv: list[str] | None = None) -> int:
         print(format_cluster_inject_report(drill))
         return 1 if drill["failures"] else 0
 
-    report = run_suite(smoke=smoke, repeats=args.repeats,
-                       workers=args.workers)
+    report = run_suite(smoke=smoke, repeats=args.repeats)
     print(format_report(report))
     if not args.no_json:
         path = write_report(report, args.out)
@@ -1380,8 +1364,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         return run_check(report, args.check, tolerance=args.tolerance,
                          counter_tolerance=args.counter_tolerance,
-                         repeats=max(args.repeats, 2),
-                         workers=args.workers)
+                         repeats=max(args.repeats, 2))
     return 0
 
 

@@ -248,8 +248,7 @@ def cmd_bench(args) -> int:
         argv.append("--inject-cluster")
         argv.extend(args.inject_cluster)
         argv.extend(["--seed", str(args.seed)])
-    argv.extend(["--repeats", str(args.repeats),
-                 "--workers", str(args.workers)])
+    argv.extend(["--repeats", str(args.repeats)])
     code = bench.main(argv)
     if getattr(args, "cache_stats", False):
         _print_cache_stats()
@@ -581,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true",
                        help="alias for --smoke (the CI gate's spelling)")
     bench.add_argument("--repeats", type=int, default=25)
-    bench.add_argument("--workers", type=int, default=2)
     bench.add_argument("--out", default=None,
                        help="output JSON path (default BENCH_<date>.json)")
     bench.add_argument("--no-json", action="store_true",

@@ -17,16 +17,14 @@ in a :class:`PolyHankelPlan` (bounded LRU cache, :func:`get_plan`), and
 everything *weight*-dependent — the kernel spectrum — is memoized in a
 bounded, content-verified spectrum cache (:meth:`PolyHankelPlan.
 weight_spectrum`), so steady-state inference transforms each kernel exactly
-once.  :meth:`PolyHankelPlan.execute` optionally chunks the batch across a
-thread pool (``workers=N``); chunked execution is bit-identical to the
-sequential path because every pipeline stage is row-independent.
+once.  :meth:`PolyHankelPlan.execute` runs the whole batch as one plan:
+one input transform, one pointwise product, one inverse transform.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -65,15 +63,6 @@ from repro.utils.shapes import ConvShape
 from repro.utils.validation import check_conv_inputs, ensure_array
 
 ChannelStrategy = Literal["sum", "merge"]
-
-#: Per-backend floor on ``n * (c + f) * nfft`` below which ``workers=N``
-#: requests run sequentially anyway: under it, thread wake-up plus the
-#: result concatenation cost more than the chunked transforms save
-#: (BENCH_2026-08-06.json showed every conv16 case *slower* with workers).
-#: pocketfft's batched transforms leave threads far less to win than the
-#: builtin backend's pure-Python kernels, hence the much higher bar.
-_SPLIT_MIN_WORK = {"builtin": 120_000}
-_SPLIT_MIN_WORK_DEFAULT = 1_000_000
 
 
 def _as_grid(gather: np.ndarray) -> tuple[int, int, int] | None:
@@ -155,18 +144,10 @@ class PolyHankelPlan:
             self.gather = merged_output_gather_indices(self.shape)
         self.bins = self.nfft // 2 + 1
         self.gather_grid = _as_grid(self.gather)
-        # Thread-worker handoff floor (see _SPLIT_MIN_WORK): splitting the
-        # batch only pays once the transform work per call clears it.
-        backend_name = _fft.get_backend(self.backend).name
-        rows = self.shape.c + self.shape.f if self.strategy == "sum" \
-            else self.shape.groups + self.shape.f
-        self._split_work = self.shape.n * rows * self.nfft
-        self._split_min = _SPLIT_MIN_WORK.get(backend_name,
-                                              _SPLIT_MIN_WORK_DEFAULT)
-        # Per-plan scratch buffers for the sequential path (padded input,
-        # frequency-product target).  Reuse keeps the pages warm across
-        # repeated calls; every element is overwritten per call, so the
-        # values are identical to freshly allocated buffers.
+        # Per-plan scratch buffers (padded input, frequency-product
+        # target).  Reuse keeps the pages warm across repeated calls; every
+        # element is overwritten per call, so the values are identical to
+        # freshly allocated buffers.
         self._scratch: dict = {}
         self._scratch_lock = threading.Lock()
 
@@ -186,8 +167,8 @@ class PolyHankelPlan:
     def __reduce__(self):
         # Plans hold locks and scratch buffers, so they pickle as their
         # spec and re-resolve against the destination process's warm plan
-        # cache (serving-layer process workers depend on this: plans
-        # travel as cache keys, never as payloads).
+        # cache (cluster replicas depend on this: plans travel as cache
+        # keys, never as payloads).
         return (_plan_from_spec, (self.shape, self.fft_policy,
                                   self.strategy,
                                   _fft.get_backend(self.backend).name,
@@ -285,19 +266,13 @@ class PolyHankelPlan:
     # -- execution ------------------------------------------------------------
 
     def execute(self, x: np.ndarray, weight_hat: np.ndarray,
-                workers: int | None = None, check: bool = True) -> np.ndarray:
+                check: bool = True) -> np.ndarray:
         """Run the convolution for input *x* against a transformed weight.
 
-        ``workers=N`` (N > 1) *requests* batch thread-chunking; the
-        handoff is shape-aware — below the plan's per-backend work floor
-        (see ``_SPLIT_MIN_WORK``) the request runs sequentially anyway,
-        because thread wake-up would cost more than the chunks save.
-        When the batch does split, the result is bit-identical to the
-        sequential path: every pipeline stage is row-independent, and the
-        fused interleaved path pairs channels/filters *within* each image,
-        so batch chunk boundaries never cut through a packed pair.
+        The whole batch runs as one pipeline: one batched input FFT, one
+        pointwise contraction and one batched inverse FFT.
         ``check=False`` skips input validation for callers (the functional
-        wrapper, layers) that have already performed it.
+        wrapper) that have already performed it.
         """
         if check:
             x = ensure_array(x, "x", ndim=4, dtype=float)
@@ -307,16 +282,12 @@ class PolyHankelPlan:
                     f"{self.shape.input_shape()}"
                 )
         fft = _fft.get_backend(self.backend)
-        n = self.shape.n
-        sequential = workers is None or workers <= 1 or n <= 1 \
-            or self._split_work < self._split_min
-        # Scratch reuse only for the sequential path, and only when no
-        # other caller holds the buffers (concurrent callers fall back to
-        # fresh allocations, so reuse is never a correctness concern).
-        reuse = sequential and self._scratch_lock.acquire(blocking=False)
+        # Scratch reuse only when no other caller holds the buffers
+        # (concurrent callers fall back to fresh allocations, so reuse is
+        # never a correctness concern).
+        reuse = self._scratch_lock.acquire(blocking=False)
         try:
-            if sequential and self.layout == "interleaved" \
-                    and not _faults._STACK:
+            if self.layout == "interleaved" and not _faults._STACK:
                 # The fused path stages the raw input straight into its
                 # packed complex block (the zero padding border lives in
                 # the block's call-invariant zero tail/border), skipping
@@ -328,21 +299,11 @@ class PolyHankelPlan:
                 # Fault-injection hook: poisons a *copy*, so reused scratch
                 # buffers (whose zero border is never rewritten) stay clean.
                 xp = _faults.poison_intermediate(xp)
-            if sequential:
-                out = self._execute_block(xp, weight_hat, fft, reuse)
-                return _faults.maybe_blowup(out) if _faults._STACK else out
+            out = self._execute_block(xp, weight_hat, fft, reuse)
+            return _faults.maybe_blowup(out) if _faults._STACK else out
         finally:
             if reuse:
                 self._scratch_lock.release()
-        bounds = np.array_split(np.arange(n), min(workers, n))
-        pool = _get_pool(min(workers, n))
-        futures = [
-            pool.submit(self._execute_block,
-                        xp[idx[0]: idx[-1] + 1], weight_hat, fft)
-            for idx in bounds if len(idx)
-        ]
-        out = np.concatenate([f.result() for f in futures], axis=0)
-        return _faults.maybe_blowup(out) if _faults._STACK else out
 
     def _pad_input(self, x: np.ndarray, reuse: bool = False) -> np.ndarray:
         """Zero-padded input, from the plan's scratch buffer if *reuse*.
@@ -366,8 +327,8 @@ class PolyHankelPlan:
 
     def _execute_block(self, xp: np.ndarray, weight_hat: np.ndarray,
                        fft, reuse: bool = False) -> np.ndarray:
-        """The frequency-domain pipeline for one (sub-)batch of padded
-        images ``(n_block, c, ph, pw)``."""
+        """The frequency-domain pipeline for a batch of padded images
+        ``(n, c, ph, pw)``."""
         if self.layout == "interleaved":
             return self._execute_fused(xp, weight_hat, fft, reuse)
         shape = self.shape
@@ -427,8 +388,7 @@ class PolyHankelPlan:
         """The interleaved-layout pipeline: packed one-pass transforms and
         a single bins-major matmul for the pointwise channel sum.
 
-        Stages, for one (sub-)batch of padded images ``(n_block, c, ph,
-        pw)`` against the packed weight operand ``(g, bins, f_per,
+        Stages, for a batch of padded images ``(n, c, ph, pw)`` against the packed weight operand ``(g, bins, f_per,
         c_per)`` of :meth:`transform_weight`:
 
         1. fold channel pairs of every (image, group) into complex rows
@@ -445,8 +405,7 @@ class PolyHankelPlan:
            two filters' products (odd ``f_per``: one batched irfft).
 
         Packing pairs rows strictly *within* an (image, group) block, so
-        chunking the batch for ``workers=N`` never splits a pair and the
-        chunked result stays bit-identical.
+        every image's result is independent of the rest of the batch.
 
         With ``raw=True``, *xp* is the **unpadded** input and the padding
         border is realised inside the packed block itself: the block is
@@ -695,24 +654,6 @@ def clear_spectrum_cache() -> None:
     reset_cache_stats("spectrum")
 
 
-# ---------------------------------------------------------------------------
-# Shared thread pools for workers=N execution.
-# ---------------------------------------------------------------------------
-
-_pool_lock = threading.Lock()
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-
-
-def _get_pool(workers: int) -> ThreadPoolExecutor:
-    with _pool_lock:
-        pool = _POOLS.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="polyhankel")
-            _POOLS[workers] = pool
-        return pool
-
-
 # Front memo for the functional entry point: maps primitive argument
 # tuples straight to plan objects, skipping ConvShape construction and its
 # (comparatively expensive) dataclass hashing on the steady-state path.
@@ -757,8 +698,7 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
                       fft_policy: FftPolicy = "auto",
                       strategy: ChannelStrategy = "sum",
                       backend: str | None = None,
-                      layout: SpectrumLayout = "auto",
-                      workers: int | None = None) -> np.ndarray:
+                      layout: SpectrumLayout = "auto") -> np.ndarray:
     """2D convolution of an NCHW batch via the PolyHankel method.
 
     Parameters mirror ``torch.nn.functional.conv2d``: *stride* and
@@ -766,8 +706,7 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
     ``(pt, pb, pl, pr)`` 4-tuple or ``"same"``, and *groups* splits the
     channels (``groups=c`` is depthwise).  Returns an ``(n, f, oh, ow)``
     array.  Repeated calls with the same weight array and geometry reuse
-    the cached plan *and* kernel spectrum; ``workers=N`` parallelizes the
-    batch across threads.
+    the cached plan *and* kernel spectrum.
     """
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
@@ -775,8 +714,7 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
     plan = _plan_for_args(x.shape, weight.shape, padding, stride, dilation,
                           groups, fft_policy, strategy, backend, layout)
     shape = plan.shape
-    out = plan.execute(x, plan.weight_spectrum(weight), workers=workers,
-                       check=False)
+    out = plan.execute(x, plan.weight_spectrum(weight), check=False)
     if bias is not None:
         bias = ensure_array(bias, "bias", ndim=1)
         if len(bias) != shape.f:

@@ -240,7 +240,7 @@ def conv1d_polyhankel(x: np.ndarray, weight: np.ndarray, padding=0,
     Lowered onto the cached 2D engine as a ``1 x L`` image — the degree
     map degenerates to ``t^j`` either way, and the 2D route brings the
     plan/spectrum caches and the packed real-pair FFT pipeline along.
-    Extra *kwargs* (``strategy``, ``backend``, ``layout``, ``workers``,
+    Extra *kwargs* (``strategy``, ``backend``, ``layout``,
     ``fft_policy``) pass straight through to the engine.
     """
     from repro.core.multichannel import conv2d_polyhankel

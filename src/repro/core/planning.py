@@ -52,7 +52,7 @@ class PlanSpec:
     boundary by value.  Its *spec* — shape, resolved FFT policy, channel
     strategy, backend name — is a plain frozen value that pickles in a
     few bytes and re-resolves against the receiving process's warm plan
-    cache, which is exactly what the serving layer's process workers
+    cache, which is exactly what the cluster tier's replica processes
     need: plans travel as cache keys, never as payloads.
     """
 

@@ -80,7 +80,7 @@ def guarded_conv2d(x: np.ndarray, weight: np.ndarray,
     the requested *algorithm* runs first (receiving any extra *kwargs*);
     on a sentinel trip or exception the chain falls through registry-
     lowered alternatives — called bare, since engine-specific knobs like
-    ``strategy`` or ``workers`` do not transfer — until one produces a
+    ``strategy`` or ``backend`` do not transfer — until one produces a
     healthy result.  Raises :class:`GuardExhaustedError` if none does.
 
     *breaker_key* overrides the breaker's shape scope: the serving layer

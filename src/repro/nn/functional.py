@@ -19,7 +19,7 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
            padding: int | tuple | str = 0, stride: int | tuple = 1,
            dilation: int | tuple[int, int] = 1, groups: int = 1,
            algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
-           workers: int | None = None, **kwargs) -> np.ndarray:
+           **kwargs) -> np.ndarray:
     """2D convolution with an explicit algorithm choice.
 
     Accepts the full conv2d parameter space: *stride* and *dilation* take
@@ -34,17 +34,12 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
     (GEMM small inputs / PolyHankel sweet spot / FFT large kernels) — the
     heuristic dispatch the paper proposes as future work.
 
-    ``workers=N`` chunks the batch across a thread pool (currently
-    supported by the PolyHankel engine; other algorithms reject it).
-
     While the guard is enabled (:func:`repro.guard.enable_guard` or the
     :func:`repro.guard.guarded` scope), the call routes through the
     supervised fallback chain: the requested algorithm still runs first,
     but a tripped sentinel or a raised backend error degrades to a slower
     exact algorithm instead of propagating garbage.
     """
-    if workers is not None:
-        kwargs["workers"] = workers
     weight = np.asarray(weight)
     x = np.asarray(x)
     if algorithm == "auto":

@@ -10,12 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.registry import ConvAlgorithm
-from repro.guard import faults as _faults
-from repro.guard.checksum import array_checksum, verify_checksum
-from repro.guard.state import guard_enabled
 from repro.nn import functional as F
-from repro.observe import record_cache_event, span
-from repro.observe.registry import counters
+from repro.observe import span
 from repro.perfmodel.counters import count
 from repro.perfmodel.device import GpuDevice
 from repro.perfmodel.timing import simulate
@@ -51,14 +47,13 @@ class Conv2d(Layer):
     Parameters are initialized with He-style scaling from a caller-provided
     generator, so networks are reproducible.
 
-    When the algorithm is PolyHankel, the layer caches the kernel spectrum
-    per plan (``cache_spectra=True``): the first forward of each input
-    geometry transforms the weight once, and every later forward reuses the
-    spectrum.  Rebinding ``layer.weight`` invalidates the cache via the
-    property setter; in-place mutation is caught too, because cache hits
-    are verified against an exact snapshot of the weight.
-    ``invalidate_weight_cache()`` drops the cached spectra explicitly.
-    ``workers=N`` chunks each forward's batch across a thread pool.
+    ``forward`` is :func:`repro.nn.functional.conv2d` on the layer's
+    parameters.  Under PolyHankel the kernel spectrum comes from the
+    engine's weight-spectrum cache, keyed on the weight array's identity
+    and verified against a snapshot of its contents: the first forward of
+    each input geometry transforms the weight once, later forwards reuse
+    the spectrum, and both rebinding ``layer.weight`` and mutating it in
+    place make the next forward retransform.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -66,8 +61,7 @@ class Conv2d(Layer):
                  dilation: int | tuple = 1, groups: int = 1,
                  bias: bool = True,
                  algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
-                 rng: np.random.Generator | None = None,
-                 cache_spectra: bool = True, workers: int | None = None):
+                 rng: np.random.Generator | None = None):
         require(in_channels > 0 and out_channels > 0,
                 "channel counts must be positive")
         require(kernel_size > 0, "kernel size must be positive")
@@ -85,46 +79,12 @@ class Conv2d(Layer):
         self.groups = groups
         self.algorithm = (ConvAlgorithm(algorithm)
                           if isinstance(algorithm, str) else algorithm)
-        self.cache_spectra = cache_spectra
-        self.workers = workers
-        self._spectrum_cache: dict = {}
-        self._weight_version = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
         fan_in = (in_channels // groups) * kernel_size * kernel_size
         scale = np.sqrt(2.0 / fan_in)
         self.weight = rng.standard_normal(
             (out_channels, in_channels // groups, kernel_size, kernel_size)
         ) * scale
         self.bias = np.zeros(out_channels) if bias else None
-
-    # -- weight-spectrum cache ------------------------------------------------
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self._weight
-
-    @weight.setter
-    def weight(self, value: np.ndarray) -> None:
-        self._weight = np.asarray(value)
-        self.invalidate_weight_cache()
-
-    def invalidate_weight_cache(self) -> None:
-        """Drop cached kernel spectra; the next forward retransforms."""
-        self._weight_version += 1
-        self._spectrum_cache.clear()
-
-    @property
-    def weight_version(self) -> int:
-        """Bumped on every rebind/invalidation (introspection aid)."""
-        return self._weight_version
-
-    def spectrum_cache_info(self):
-        """Per-layer (hits, misses, size, maxsize) of the spectrum cache."""
-        from repro.fft.plan import CacheInfo
-
-        return CacheInfo(self._cache_hits, self._cache_misses,
-                         len(self._spectrum_cache), None)
 
     def conv_shape(self, input_shape: tuple) -> ConvShape:
         return ConvShape.from_tensors(input_shape, self.weight.shape,
@@ -134,69 +94,9 @@ class Conv2d(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         with span("conv2d.forward", algorithm=self.algorithm.value,
                   out_channels=self.out_channels, k=self.kernel_size):
-            if (self.algorithm is ConvAlgorithm.POLYHANKEL
-                    and self.cache_spectra):
-                return self._forward_polyhankel(x)
             return F.conv2d(x, self.weight, self.bias, self.padding,
                             self.stride, dilation=self.dilation,
                             groups=self.groups, algorithm=self.algorithm)
-
-    def _forward_polyhankel(self, x: np.ndarray) -> np.ndarray:
-        """Plan-cached PolyHankel forward: the weight is transformed once
-        per plan and reused until the weight changes.  The plan key embeds
-        stride/dilation/groups/padding, so the same weight convolved under
-        different parameters never aliases a cached spectrum.
-
-        While the guard is enabled, cached spectra are checksum-verified on
-        every hit (a corrupted entry is recomputed, never served) and the
-        result is sentinel-classified before the bias is applied; a tripped
-        sentinel or a raised engine error re-executes the forward through
-        the supervised fallback chain."""
-        from repro.core.multichannel import get_plan
-        from repro.utils.validation import check_conv_inputs
-
-        x = np.asarray(x, dtype=float)
-        check_conv_inputs(x, self._weight, self.padding, self.stride,
-                          self.dilation, self.groups)
-        plan = get_plan(self.conv_shape(x.shape))
-        key = plan.cache_key
-        entry = self._spectrum_cache.get(key)
-        hit = entry is not None and np.array_equal(entry[0], self._weight)
-        if hit:
-            w_hat = entry[1]
-            if _faults._STACK:
-                _faults.maybe_corrupt_spectrum(w_hat)
-            if guard_enabled() and not verify_checksum(w_hat, entry[2]):
-                counters.add("guard.cache_corrupt", cache="layer_spectrum")
-                hit = False
-        if hit:
-            self._cache_hits += 1
-            record_cache_event("layer_spectrum", hit=True)
-        else:
-            self._cache_misses += 1
-            record_cache_event("layer_spectrum", hit=False)
-            w_hat = plan.transform_weight(self._weight)
-            stamp = array_checksum(w_hat)
-            self._spectrum_cache[key] = (
-                np.array(self._weight, dtype=float, copy=True), w_hat, stamp)
-        try:
-            out = plan.execute(x, w_hat, workers=self.workers)
-        except Exception:
-            if not guard_enabled():
-                raise
-            return self._forward_guarded(x)
-        if guard_enabled():
-            from repro.guard.sentinel import classify
-
-            verdict = classify(out, x, self._weight,
-                               plan.shape.poly_product_len)
-            if not verdict.ok:
-                counters.add("guard.sentinel_trip", algorithm="polyhankel",
-                             status=verdict.status, site="layer")
-                return self._forward_guarded(x)
-        if self.bias is not None:
-            out = out + self.bias[None, :, None, None]
-        return out
 
     def submit(self, x: np.ndarray, server=None,
                deadline_s: float | None = None):
@@ -206,24 +106,13 @@ class Conv2d(Layer):
         Concurrent submissions against the same layer instance coalesce
         into one stacked engine call (the layer's weight array is the
         coalescing identity), so a burst of single-image requests runs at
-        batched throughput.  The serving path applies the weight and bias
-        directly — the per-layer spectrum cache is bypassed in favour of
-        the engine's plan-level spectrum cache, which the stacked call
-        warms once per geometry.
+        batched throughput.  The stacked call reads the same engine
+        spectrum cache as :meth:`forward`.
         """
-        return F.conv2d_async(x, self._weight, self.bias, self.padding,
+        return F.conv2d_async(x, self.weight, self.bias, self.padding,
                               self.stride, self.dilation, self.groups,
                               algorithm=self.algorithm, server=server,
                               deadline_s=deadline_s)
-
-    def _forward_guarded(self, x: np.ndarray) -> np.ndarray:
-        """Re-execute this forward through the supervised fallback chain."""
-        from repro.guard.chain import guarded_conv2d
-
-        return guarded_conv2d(x, self._weight, bias=self.bias,
-                              padding=self.padding, stride=self.stride,
-                              dilation=self.dilation, groups=self.groups,
-                              algorithm=self.algorithm)
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return self.conv_shape(input_shape).output_shape()

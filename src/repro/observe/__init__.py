@@ -11,8 +11,8 @@ Table 2/3 cost model):
   Disabled by default; the off path is a single flag check returning a
   shared no-op context (see ``tests/observe/test_overhead.py``).
 - :mod:`repro.observe.registry` — one process-wide counter registry.  All
-  cache surfaces (conv plans, weight spectra, FFT plans, per-layer spectra)
-  report hits/misses here, and — while observation is enabled — every FFT
+  cache surfaces (conv plans, weight spectra, FFT plans) report
+  hits/misses here, and — while observation is enabled — every FFT
   backend invocation is counted by kind and size, with bytes moved.
 - :mod:`repro.observe.profile` — joins measured stage times against the
   :mod:`repro.perfmodel` FLOP/byte predictions and flags drift

@@ -142,9 +142,8 @@ counters = CounterRegistry()
 def record_cache_event(cache: str, hit: bool) -> None:
     """Record one hit or miss on the named cache surface.
 
-    Known surfaces: ``conv_plan``, ``spectrum``, ``fft_plan``,
-    ``layer_spectrum`` — but nothing enforces the vocabulary; new caches
-    simply pick a name.
+    Known surfaces: ``conv_plan``, ``spectrum``, ``fft_plan`` — but
+    nothing enforces the vocabulary; new caches simply pick a name.
     """
     counters.add(f"cache.{cache}.{'hits' if hit else 'misses'}")
 
@@ -164,8 +163,7 @@ def cache_stats() -> list[dict]:
     """The consolidated cache table: one row per cache surface.
 
     Sizes and limits come from the owning structures (the registry only
-    holds event counts); surfaces without a global size — the per-layer
-    spectrum caches live on ``Conv2d`` instances — report ``None``.
+    holds event counts).
     """
     from repro.core.multichannel import plan_cache_info, spectrum_cache_info
     from repro.fft.plan import fft_plan_cache_info
@@ -173,7 +171,6 @@ def cache_stats() -> list[dict]:
     plan = plan_cache_info()
     spectrum = spectrum_cache_info()
     fft_plan = fft_plan_cache_info()
-    layer_hits, layer_misses = cache_hits_misses("layer_spectrum")
     rows = [
         {"cache": "conv_plan", "label": "conv plans",
          "hits": plan.hits, "misses": plan.misses,
@@ -184,9 +181,11 @@ def cache_stats() -> list[dict]:
         {"cache": "fft_plan", "label": "fft plans",
          "hits": fft_plan.hits, "misses": fft_plan.misses,
          "size": fft_plan.size, "maxsize": fft_plan.maxsize},
+        # Retired: Conv2d reads the engine's spectrum cache, so nothing
+        # records into this surface any more.  The row stays, always 0/0,
+        # because perfbench's traced run reads it by name.
         {"cache": "layer_spectrum", "label": "layer spectra",
-         "hits": layer_hits, "misses": layer_misses,
-         "size": None, "maxsize": None},
+         "hits": 0, "misses": 0, "size": None, "maxsize": None},
     ]
     for row in rows:
         total = row["hits"] + row["misses"]
@@ -222,6 +221,7 @@ def serve_stats() -> dict:
     batches = counters.total("serve.batches")
     batch_rows = counters.total("serve.batch_size")
     wait_ms = counters.total("serve.queue_wait_ms")
+    dispatched = counters.total("serve.dispatched")
     coalesced = counters.total("serve.coalesced")
     stats = {
         "requests": int(requests),
@@ -234,7 +234,8 @@ def serve_stats() -> dict:
         "rejected": int(counters.total("serve.rejected")),
         "slot_timeouts": int(counters.total("serve.slot_timeout")),
         "mean_batch_size": batch_rows / batches if batches else None,
-        "mean_queue_wait_ms": wait_ms / batches if batches else None,
+        # Per request: the queue sums every dispatched request's wait.
+        "mean_queue_wait_ms": wait_ms / dispatched if dispatched else None,
         "coalesce_rate": coalesced / requests if requests else None,
     }
     # Online algorithm selection: surface the counters whenever the

@@ -10,7 +10,7 @@ Design goals, in order:
    is a few microseconds against a call measured in hundreds
    (``tests/observe/test_overhead.py`` pins the ratio under 2%).
 2. **Correct nesting across threads.**  Each thread keeps its own open-span
-   stack, so spans opened inside ``workers=N`` thread-pool chunks attribute
+   stack, so spans opened on serving-pool or dispatcher threads attribute
    to their own thread and never interleave with the caller's stack.
 3. **Cheap aggregation.**  Completed spans carry ``duration`` and
    ``self_duration`` (duration minus direct children), which is what the

@@ -16,10 +16,9 @@ package closes that gap with the standard serving architecture:
   most ``max_wait_ms`` for compatible companions; a group is dispatched
   the moment it holds ``max_batch`` stacked rows or its oldest request's
   deadline expires.
-- :mod:`repro.serve.pool` — the persistent :class:`WorkerPool` (threads
-  by default, a ``ProcessPoolExecutor`` with per-worker warm plan and
-  spectrum caches as an opt-in) and the batch/group shard splitter for
-  oversized requests.
+- :mod:`repro.serve.pool` — the persistent thread-pool
+  :class:`WorkerPool` and the batch/group shard splitter for oversized
+  requests.
 - :mod:`repro.serve.api` — :class:`ConvServer`, the user-facing object,
   and the process-wide default server used by
   :func:`repro.nn.functional.conv2d_async` and ``Conv2d.submit``.
@@ -42,9 +41,9 @@ package closes that gap with the standard serving architecture:
 
 Everything is observable through the unified counter registry
 (``serve.requests``, ``serve.coalesced``, ``serve.batches``,
-``serve.batch_size``, ``serve.queue_wait_ms``, ``serve.shards``, and the
-overload outcomes ``serve.completed`` / ``serve.shed`` /
-``serve.rejected`` / ``serve.slot_timeout``) and runs under the guard
+``serve.batch_size``, ``serve.queue_wait_ms``, ``serve.dispatched``,
+``serve.shards``, and the overload outcomes ``serve.completed`` /
+``serve.shed`` / ``serve.rejected`` / ``serve.slot_timeout``) and runs under the guard
 chain when supervision is enabled, with the circuit breaker scoped by
 coalescing key so every shard of one request family shares breaker
 state.

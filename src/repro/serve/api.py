@@ -63,13 +63,13 @@ class ConvServer:
 
     def __init__(self, max_batch: int = DEFAULT_MAX_BATCH,
                  max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-                 workers: int | None = None, mode: str = "thread",
+                 workers: int | None = None,
                  config: ServeConfig | None = None):
         self.max_batch = int(max_batch)
         self.config = config if config is not None \
             else ServeConfig.from_env()
         self._budget = InflightBudget(self.config.max_inflight)
-        self._pool = WorkerPool(workers=workers, mode=mode)
+        self._pool = WorkerPool(workers=workers)
         self._queue = BatchingQueue(self._execute_batch,
                                     max_batch=max_batch,
                                     max_wait_ms=max_wait_ms)

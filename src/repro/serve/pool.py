@@ -9,17 +9,10 @@ is an independent frequency-domain product, so reassembling shard outputs
 (concatenate along batch, then filters) reproduces the unsharded answer
 exactly.
 
-Two pool modes:
-
-- ``"thread"`` (default): a shared :class:`ThreadPoolExecutor`.  Shards
-  spend their time inside NumPy's FFT/einsum kernels, which release the
-  GIL, so threads scale on multicore boxes and cost nothing on one core.
-- ``"process"`` (opt-in): a ``ProcessPoolExecutor`` whose workers each
-  hold their *own* warm plan/spectrum/FFT-plan caches.  Plans cross the
-  boundary as cache keys, not payloads — :class:`~repro.core.multichannel.
-  PolyHankelPlan` pickles to its :class:`~repro.core.planning.PlanSpec`
-  and re-resolves against the worker's cache on arrival — so after the
-  first call per shape, workers never rebuild plans.
+The pool is a shared :class:`ThreadPoolExecutor`: shards spend their time
+inside NumPy's FFT/einsum kernels, which release the GIL.  Scale-out across
+processes is the cluster tier's job (:mod:`repro.serve.cluster`), whose
+tensors travel through shared memory rather than pickles.
 
 Every shard runs through :func:`execute_conv`, which routes through the
 guard chain while supervision is enabled, passing the request family's
@@ -31,7 +24,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -219,41 +212,22 @@ def _run_shard(request: ConvRequest, batch_slice: slice, g_lo: int,
             output_padding=key.output_padding, breaker_key=key)
 
 
-def _process_shard(payload: dict) -> np.ndarray:
-    """Module-level shard runner for the process pool (must pickle)."""
-    from repro.guard.state import guarded
-
-    if payload.pop("guarded", False):
-        with guarded():
-            return execute_conv(**payload)
-    return execute_conv(**payload)
-
-
 class WorkerPool:
-    """Persistent shard executor: threads by default, processes opt-in."""
+    """Persistent thread-pool shard executor."""
 
-    def __init__(self, workers: int | None = None, mode: str = "thread"):
-        if mode not in ("thread", "process"):
-            raise ValueError(
-                f"unknown pool mode {mode!r}; expected 'thread' or "
-                "'process'")
+    def __init__(self, workers: int | None = None):
         self.workers = workers if workers else default_workers()
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.mode = mode
         self._lock = threading.Lock()
         self._executor = None
 
     def _get_executor(self):
         with self._lock:
             if self._executor is None:
-                if self.mode == "thread":
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="serve-worker")
-                else:
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.workers)
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.workers,
+                    thread_name_prefix="serve-worker")
             return self._executor
 
     def run_request(self, request: ConvRequest) -> np.ndarray:
@@ -271,24 +245,8 @@ class WorkerPool:
         if len(splits) == 1:
             return _run_shard(request, splits[0][0], *splits[0][1])
         executor = self._get_executor()
-        if self.mode == "thread":
-            futures = [executor.submit(_run_shard, request, bs, g0, g1)
-                       for bs, (g0, g1) in splits]
-        else:
-            supervised = guard_enabled()
-            futures = []
-            for bs, (g0, g1) in splits:
-                x, weight, bias, shard_groups = _shard_arguments(
-                    request, bs, g0, g1)
-                futures.append(executor.submit(_process_shard, {
-                    "x": x, "weight": weight, "bias": bias,
-                    "padding": key.padding, "stride": key.stride,
-                    "dilation": key.dilation, "groups": shard_groups,
-                    "algorithm": key.algorithm, "strategy": key.strategy,
-                    "backend": key.backend, "op": key.op,
-                    "output_padding": key.output_padding,
-                    "breaker_key": key, "guarded": supervised,
-                }))
+        futures = [executor.submit(_run_shard, request, bs, g0, g1)
+                   for bs, (g0, g1) in splits]
         results = [f.result() for f in futures]
         return self._assemble(results, splits)
 

@@ -19,7 +19,9 @@ Counters (unified registry): ``serve.batches`` (one per dispatch),
 ``serve.batch_size`` (sum of stacked rows — mean batch size is
 ``batch_size / batches``), ``serve.coalesced`` (requests that shared a
 dispatch with at least one other request), ``serve.queue_wait_ms``
-(summed submit-to-dispatch latency).
+(summed submit-to-dispatch latency) and ``serve.dispatched`` (requests
+that latency is summed over — mean wait per request is
+``queue_wait_ms / dispatched``).
 """
 
 from __future__ import annotations
@@ -217,6 +219,7 @@ class BatchingQueue:
         counters.add("serve.batch_size", rows)
         if len(batch) > 1:
             counters.add("serve.coalesced", len(batch))
+        counters.add("serve.dispatched", len(batch))
         counters.add("serve.queue_wait_ms",
                      sum(now - r.enqueued_at for r in batch) * 1e3)
         try:

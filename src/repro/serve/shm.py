@@ -1,9 +1,8 @@
 """Zero-pickle tensor transport over ``multiprocessing.shared_memory``.
 
-The process mode of :mod:`repro.serve.pool` ships every shard's arrays by
-pickling them through the executor — serialization dominates exactly
-where the engine is fastest.  This module is the replacement transport
-for the cluster tier: tensors move through a **slot arena** in one shared
+Pickling arrays through an executor makes serialization dominate exactly
+where the engine is fastest.  This module is the transport for the
+cluster tier instead: tensors move through a **slot arena** in one shared
 memory segment, and only tiny plain-data control messages (slot indices,
 generation counters, conv parameters) cross the pipe.
 

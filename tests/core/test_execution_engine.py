@@ -1,8 +1,8 @@
-"""Execution-engine tests: spectrum cache, plan cache bounds, workers.
+"""Execution-engine tests: spectrum cache and plan cache bounds.
 
-The engine's contract is that every cached or parallel path is *bit
-identical* (``np.array_equal``, not ``allclose``) to the uncached,
-sequential reference — caching may only skip work, never change it.
+The engine's contract is that every cached path is *bit identical*
+(``np.array_equal``, not ``allclose``) to the uncached reference —
+caching may only skip work, never change it.
 """
 
 import numpy as np
@@ -58,23 +58,6 @@ class TestSpectrumCacheParity:
         np.testing.assert_array_equal(first, reference)
         np.testing.assert_array_equal(second, reference)
         assert spectrum_cache_info().hits >= 1
-
-    @pytest.mark.parametrize("strategy", ["sum", "merge"])
-    @pytest.mark.parametrize("backend", ["numpy", "builtin"])
-    def test_workers_bit_identical(self, rng, strategy, backend):
-        x, w = _problem(rng)
-        plan = get_plan(SHAPE, strategy=strategy, backend=backend)
-        w_hat = plan.transform_weight(w)
-        reference = plan.execute(x, w_hat)
-        for workers in (2, 3, 8):
-            np.testing.assert_array_equal(
-                plan.execute(x, w_hat, workers=workers), reference)
-
-    def test_workers_through_functional_path(self, rng):
-        x, w = _problem(rng)
-        reference = conv2d_polyhankel(x, w, padding=1)
-        np.testing.assert_array_equal(
-            conv2d_polyhankel(x, w, padding=1, workers=2), reference)
 
     def test_disabled_cache_recomputes(self, rng):
         x, w = _problem(rng)

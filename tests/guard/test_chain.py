@@ -106,6 +106,26 @@ class TestRecovery:
         assert_conv_close(out, ref)
         assert sum(state.counts.values()) >= 1, "fault must actually fire"
 
+    @pytest.mark.parametrize("kind", faults.ENGINE_FAULT_KINDS)
+    def test_layer_forward_recovers_under_fault(self, kind):
+        """Conv2d.forward runs the same guard chain as F.conv2d: under
+        every engine fault its output still matches naive plus bias."""
+        from repro.nn.layers import Conv2d
+
+        rng = np.random.default_rng(3)
+        layer = Conv2d(3, 4, 3, padding=1, rng=rng)
+        layer.bias = rng.standard_normal(4)
+        x = rng.standard_normal((2, 3, 12, 12))
+        want = conv2d_naive(x, layer.weight, padding=1) \
+            + layer.bias[None, :, None, None]
+        layer(x)  # warm the spectrum cache so corruption has a target
+        reset_guard()
+        with guarded(), faults.inject(kind, seed=11) as state, \
+                np.errstate(invalid="ignore", over="ignore"):
+            out = layer(x)
+        assert_conv_close(out, want)
+        assert sum(state.counts.values()) >= 1, "fault must actually fire"
+
     def test_fallback_counters_tagged_by_cause(self, problem):
         x, w, _ = problem
         with faults.inject("backend_error"):

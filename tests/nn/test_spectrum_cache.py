@@ -1,16 +1,24 @@
-"""Conv2d weight-spectrum cache: amortization guard and invalidation.
+"""Conv2d on the engine's weight-spectrum cache: amortization and
+invalidation.
 
 The microbenchmark guard asserts the *mechanism* (not wall-clock): a
 counting shim on the FFT backend proves the second forward of a
 fixed-shape ``Conv2d`` performs zero ``rfft`` calls on the weight, so the
-amortization cannot silently regress.
+amortization cannot silently regress.  The layer has no cache of its own:
+its statistics are the module-level :func:`spectrum_cache_info`.
 """
 
 import numpy as np
 import pytest
 
 from repro import fft as _fft
-from repro.core.multichannel import clear_plan_cache, clear_spectrum_cache
+from repro.core.multichannel import (
+    clear_plan_cache,
+    clear_spectrum_cache,
+    enable_spectrum_cache,
+    spectrum_cache_info,
+)
+from repro.nn import functional as F
 from repro.nn.layers import Conv2d
 from tests.conftest import naive_conv2d_reference
 
@@ -20,6 +28,7 @@ def _fresh_caches():
     clear_plan_cache()
     clear_spectrum_cache()
     yield
+    enable_spectrum_cache(True)
     clear_plan_cache()
     clear_spectrum_cache()
 
@@ -47,11 +56,8 @@ class TestAmortizationGuard:
         assert log.count("rfft") == 2  # the input transform still runs
 
     def test_cache_disabled_layer_retransforms(self, rng):
-        # cache_spectra=False falls back to the functional path; disabling
-        # the module-level spectrum cache too forces a true retransform.
-        from repro.core.multichannel import enable_spectrum_cache
-
-        layer = Conv2d(3, 8, 3, padding=1, bias=False, cache_spectra=False)
+        # Disabling the engine's spectrum cache forces a true retransform.
+        layer = Conv2d(3, 8, 3, padding=1, bias=False)
         x = rng.standard_normal((2, 3, 12, 12))
         try:
             enable_spectrum_cache(False)
@@ -62,6 +68,19 @@ class TestAmortizationGuard:
             enable_spectrum_cache(True)
         assert _weight_call_count(log, layer) == 1
 
+    def test_layer_and_functional_share_one_transform(self, rng):
+        """A Conv2d forward and F.conv2d on the same weight array and
+        geometry read one cache entry: one weight rfft in total."""
+        layer = Conv2d(3, 8, 3, padding=1, bias=False)
+        x = rng.standard_normal((2, 3, 12, 12))
+        with _fft.record_fft_calls() as log:
+            out = layer(x)
+            again = F.conv2d(x, layer.weight, padding=1)
+        assert _weight_call_count(log, layer) == 1
+        np.testing.assert_array_equal(again, out)
+        info = spectrum_cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
 
 class TestLayerCacheCorrectness:
     def test_cached_forward_matches_reference(self, rng):
@@ -71,24 +90,16 @@ class TestLayerCacheCorrectness:
             + layer.bias[None, :, None, None]
         for _ in range(3):  # cold then cached
             np.testing.assert_allclose(layer(x), expected, atol=1e-8)
-        assert layer.spectrum_cache_info().hits == 2
+        assert spectrum_cache_info().hits == 2
 
     def test_cached_forward_bit_identical_to_uncached(self, rng):
-        cached = Conv2d(3, 4, 3, padding=1, bias=False)
-        uncached = Conv2d(3, 4, 3, padding=1, bias=False,
-                          cache_spectra=False)
-        uncached.weight = cached.weight.copy()
+        layer = Conv2d(3, 4, 3, padding=1, bias=False)
         x = rng.standard_normal((2, 3, 10, 10))
-        reference = uncached(x)
-        np.testing.assert_array_equal(cached(x), reference)
-        np.testing.assert_array_equal(cached(x), reference)
-
-    def test_workers_forward_bit_identical(self, rng):
-        seq = Conv2d(3, 4, 3, padding=1, bias=False)
-        par = Conv2d(3, 4, 3, padding=1, bias=False, workers=3)
-        par.weight = seq.weight.copy()
-        x = rng.standard_normal((4, 3, 10, 10))
-        np.testing.assert_array_equal(par(x), seq(x))
+        enable_spectrum_cache(False)
+        reference = layer(x)
+        enable_spectrum_cache(True)
+        np.testing.assert_array_equal(layer(x), reference)
+        np.testing.assert_array_equal(layer(x), reference)
 
     def test_multiple_input_shapes_each_get_a_plan(self, rng):
         layer = Conv2d(2, 3, 3, padding=1, bias=False)
@@ -97,7 +108,7 @@ class TestLayerCacheCorrectness:
             np.testing.assert_allclose(
                 layer(x), naive_conv2d_reference(x, layer.weight, 1),
                 atol=1e-8)
-        assert layer.spectrum_cache_info().size == 3
+        assert spectrum_cache_info().size == 3
 
 
 class TestLayerCacheInvalidation:
@@ -105,12 +116,12 @@ class TestLayerCacheInvalidation:
         layer = Conv2d(2, 3, 3, padding=1, bias=False)
         x = rng.standard_normal((1, 2, 8, 8))
         layer(x)
-        version = layer.weight_version
         layer.weight = rng.standard_normal(layer.weight.shape)
-        assert layer.weight_version == version + 1
+        with _fft.record_fft_calls() as log:
+            out = layer(x)
+        assert _weight_call_count(log, layer) == 1
         np.testing.assert_allclose(
-            layer(x), naive_conv2d_reference(x, layer.weight, 1),
-            atol=1e-8)
+            out, naive_conv2d_reference(x, layer.weight, 1), atol=1e-8)
 
     def test_in_place_mutation_yields_fresh_spectra(self, rng):
         layer = Conv2d(2, 3, 3, padding=1, bias=False)
@@ -121,12 +132,3 @@ class TestLayerCacheInvalidation:
         assert not np.array_equal(out, stale)
         np.testing.assert_allclose(
             out, naive_conv2d_reference(x, layer.weight, 1), atol=1e-8)
-
-    def test_explicit_invalidation_retransforms(self, rng):
-        layer = Conv2d(2, 3, 3, padding=1, bias=False)
-        x = rng.standard_normal((1, 2, 8, 8))
-        layer(x)
-        layer.invalidate_weight_cache()
-        with _fft.record_fft_calls() as log:
-            layer(x)
-        assert _weight_call_count(log, layer) == 1

@@ -71,7 +71,7 @@ class TestExecuteConv:
 
 class TestWorkerPool:
     def test_sharded_request_bit_exact(self, rng):
-        pool = WorkerPool(workers=3, mode="thread")
+        pool = WorkerPool(workers=3, )
         try:
             x = rng.standard_normal((5, 3, 8, 8))
             w = rng.standard_normal((4, 3, 3, 3))
@@ -82,7 +82,7 @@ class TestWorkerPool:
             pool.close()
 
     def test_group_sharding_bit_exact(self, rng):
-        pool = WorkerPool(workers=4, mode="thread")
+        pool = WorkerPool(workers=4, )
         try:
             x = rng.standard_normal((2, 4, 8, 8))
             w = rng.standard_normal((4, 2, 3, 3))
@@ -95,7 +95,7 @@ class TestWorkerPool:
             pool.close()
 
     def test_resolve_sets_result(self, rng):
-        pool = WorkerPool(workers=2, mode="thread")
+        pool = WorkerPool(workers=2, )
         try:
             x = rng.standard_normal((3, 3, 8, 8))
             w = rng.standard_normal((2, 3, 3, 3))
@@ -107,7 +107,7 @@ class TestWorkerPool:
             pool.close()
 
     def test_resolve_carries_exception(self, rng):
-        pool = WorkerPool(workers=1, mode="thread")
+        pool = WorkerPool(workers=1, )
         try:
             x = rng.standard_normal((1, 3, 8, 8))
             w = rng.standard_normal((2, 3, 3, 3))
@@ -122,7 +122,7 @@ class TestWorkerPool:
         from repro.observe.registry import counters
 
         counters.clear("serve.shards")
-        pool = WorkerPool(workers=3, mode="thread")
+        pool = WorkerPool(workers=3, )
         try:
             x = rng.standard_normal((6, 3, 8, 8))
             w = rng.standard_normal((2, 3, 3, 3))
@@ -133,7 +133,7 @@ class TestWorkerPool:
             counters.clear("serve.shards")
 
     def test_close_idempotent_and_reusable(self, rng):
-        pool = WorkerPool(workers=2, mode="thread")
+        pool = WorkerPool(workers=2, )
         pool.close()
         pool.close()
         x = rng.standard_normal((4, 3, 8, 8))
@@ -141,10 +141,6 @@ class TestWorkerPool:
         out = pool.run_request(make_request(x, w, padding=1))
         assert np.array_equal(out, F.conv2d(x, w, padding=1))
         pool.close()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            WorkerPool(workers=1, mode="greenlet")
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -157,30 +153,3 @@ class TestWorkerPool:
         assert default_workers() == 7
         monkeypatch.setenv(WORKERS_ENV, "not-a-number")
         assert default_workers() >= 1
-
-
-@pytest.mark.slow
-class TestProcessPool:
-    def test_process_mode_bit_exact(self, rng):
-        pool = WorkerPool(workers=2, mode="process")
-        try:
-            x = rng.standard_normal((4, 3, 8, 8))
-            w = rng.standard_normal((2, 3, 3, 3))
-            request = make_request(x, w, padding=1)
-            out = pool.run_request(request)
-            assert np.array_equal(out, F.conv2d(x, w, padding=1))
-        finally:
-            pool.close()
-
-    def test_process_mode_guarded(self, rng):
-        from repro.guard.state import guarded
-
-        pool = WorkerPool(workers=2, mode="process")
-        try:
-            x = rng.standard_normal((4, 3, 8, 8))
-            w = rng.standard_normal((2, 3, 3, 3))
-            with guarded():
-                out = pool.run_request(make_request(x, w, padding=1))
-            assert np.array_equal(out, F.conv2d(x, w, padding=1))
-        finally:
-            pool.close()

@@ -216,7 +216,7 @@ class TestBenchWiring:
         from repro.bench import SUITE, run_case
 
         case = next(c for c in SUITE if c.name == "conv16_sum_numpy")
-        result = run_case(case, repeats=2, workers=None)
+        result = run_case(case, repeats=2)
         return _report([result])
 
     def test_results_carry_counters(self, measured):
@@ -232,8 +232,7 @@ class TestBenchWiring:
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(measured))
         assert run_check(measured, str(path), tolerance=0.5,
-                         counter_tolerance=0.1, repeats=2,
-                         workers=None) == 0
+                         counter_tolerance=0.1, repeats=2) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_run_check_fails_on_doctored_baseline(self, measured,
@@ -250,6 +249,5 @@ class TestBenchWiring:
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(doctored))
         assert run_check(measured, str(path), tolerance=0.5,
-                         counter_tolerance=0.1, repeats=2,
-                         workers=None) == 1
+                         counter_tolerance=0.1, repeats=2) == 1
         assert "FAILED" in capsys.readouterr().out

@@ -15,7 +15,7 @@ pytestmark = pytest.mark.slow
 
 
 def test_smoke_suite_schema(tmp_path):
-    report = bench.run_suite(smoke=True, repeats=1, workers=2)
+    report = bench.run_suite(smoke=True, repeats=1)
     # v2 added the per-case deterministic FFT counters (see --check gate);
     # v3 added the guard_fallbacks counter (zero on a healthy install);
     # v4 added the resolved spectrum layout and roofline_pct;
