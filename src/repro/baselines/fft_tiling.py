@@ -15,7 +15,7 @@ from repro.baselines.fft2d import irfft2, rfft2
 from repro.core.planning import FftPolicy, plan_fft_size
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 DEFAULT_TILE = 32
 
@@ -27,10 +27,9 @@ def conv2d_fft_tiling(x: np.ndarray, weight: np.ndarray, padding: int = 0,
     """NCHW convolution via per-tile FFTs (2D overlap-save)."""
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride)
+    shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)
     if tile < 1:
         raise ValueError("tile must be positive")
-    shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)
 
     xp = pad2d(x, padding)
     # Tiles are defined on the *pre-stride* valid-output grid; striding is a

@@ -13,7 +13,7 @@ import numpy as np
 from repro.hankel.im2col_view import im2col_patches
 from repro.observe import span
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 
 def conv2d_im2col_gemm(x: np.ndarray, weight: np.ndarray, padding=0,
@@ -26,7 +26,6 @@ def conv2d_im2col_gemm(x: np.ndarray, weight: np.ndarray, padding=0,
     """
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride, dilation, groups)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
                                    dilation, groups)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 _OFFSET_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -57,7 +57,6 @@ def conv2d_implicit_gemm(x: np.ndarray, weight: np.ndarray, padding=0,
     """
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride, dilation, groups)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
                                    dilation, groups)
     xp = pad2d(x, shape.pad_tblr)

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array, require
+from repro.utils.validation import ensure_array, require
 
 MAX_ALPHA = 10
 
@@ -127,11 +127,10 @@ def conv2d_winograd(x: np.ndarray, weight: np.ndarray, padding: int = 0,
     """
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride)
+    shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)
     require(stride == 1, "Winograd supports stride 1 only")
     if variant not in ("fused", "nonfused"):
         raise ValueError(f"unknown Winograd variant {variant!r}")
-    shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)
     kh, kw = shape.kh, shape.kw
 
     at_h, g_h, bt_h = winograd_transforms(m, kh)

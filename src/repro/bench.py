@@ -480,12 +480,11 @@ def _seed_conv2d(x, w, padding, strategy, backend):
     )
     from repro.core.multichannel import get_plan
     from repro.utils.shapes import ConvShape
-    from repro.utils.validation import check_conv_inputs, ensure_array
+    from repro.utils.validation import ensure_array
 
     x = ensure_array(x, "x", dtype=float)
     w = ensure_array(w, "weight", dtype=float)
-    check_conv_inputs(x, w, padding, 1)
-    shape = ConvShape.from_tensors(x.shape, w.shape, padding, 1)
+    shape = ConvShape.from_tensors_uncached(x.shape, w.shape, padding, 1)
     fft = _fft.get_backend(backend)
     plan = get_plan(shape, "pow2", strategy, backend)
     w = ensure_array(w, "weight", ndim=4, dtype=float)

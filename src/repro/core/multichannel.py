@@ -60,7 +60,7 @@ from repro.observe.registry import (
     reset_cache_stats,
 )
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import add_bias, ensure_array
 
 ChannelStrategy = Literal["sum", "merge"]
 
@@ -549,27 +549,48 @@ def get_plan(shape: ConvShape, fft_policy: FftPolicy = "auto",
              strategy: ChannelStrategy = "sum",
              backend: str | None = None,
              layout: SpectrumLayout = "auto") -> PolyHankelPlan:
-    """Fetch (or build and LRU-cache) the plan for *shape* and options."""
+    """Fetch (or build and LRU-cache) the plan for *shape* and options.
+
+    The cache is looked up with the options as requested (only the
+    backend is resolved to its name, since ``None`` means whichever is
+    active), so a hit resolves no ``"auto"``.  A plan is stored under its
+    requested and its resolved key; the limit counts plans, not keys.
+    """
     backend_name = _fft.get_backend(backend).name
-    policy = resolve_fft_policy(fft_policy, backend_name)
-    layout = select_spectrum_layout(shape, strategy, policy, layout)
-    key = (shape, policy, strategy, backend_name, layout)
+    key = (shape, fft_policy, strategy, backend_name, layout)
     with _plan_lock:
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
             record_cache_event("conv_plan", hit=True)
             _PLAN_CACHE.move_to_end(key)
             return plan
-    record_cache_event("conv_plan", hit=False)
-    with span("plan.build", strategy=strategy, backend=backend_name,
-              layout=layout):
-        plan = PolyHankelPlan(shape, policy, strategy, backend_name, layout)
+    policy = resolve_fft_policy(fft_policy, backend_name)
+    layout = select_spectrum_layout(shape, strategy, policy, layout)
+    resolved = (shape, policy, strategy, backend_name, layout)
     with _plan_lock:
-        _PLAN_CACHE[key] = plan
-        _PLAN_CACHE.move_to_end(key)
-        while len(_PLAN_CACHE) > _PLAN_LIMIT[0]:
-            _PLAN_CACHE.popitem(last=False)
+        plan = _PLAN_CACHE.get(resolved)
+    record_cache_event("conv_plan", hit=plan is not None)
+    if plan is None:
+        with span("plan.build", strategy=strategy, backend=backend_name,
+                  layout=layout):
+            plan = PolyHankelPlan(shape, policy, strategy, backend_name,
+                                  layout)
+    with _plan_lock:
+        for k in (resolved, key):
+            _PLAN_CACHE[k] = plan
+            _PLAN_CACHE.move_to_end(k)
+        _evict_plans(_PLAN_LIMIT[0])
     return plan
+
+
+def _plan_count() -> int:
+    return len({id(plan) for plan in _PLAN_CACHE.values()})
+
+
+def _evict_plans(limit: int) -> None:
+    """Drop LRU keys until at most *limit* plans remain (lock held)."""
+    while _plan_count() > limit:
+        _PLAN_CACHE.popitem(last=False)
 
 
 def _plan_from_spec(shape: ConvShape, fft_policy: FftPolicy,
@@ -585,7 +606,7 @@ def plan_cache_info() -> CacheInfo:
     :mod:`repro.observe` registry; size/limit from the structure)."""
     hits, misses = cache_hits_misses("conv_plan")
     with _plan_lock:
-        return CacheInfo(hits, misses, len(_PLAN_CACHE), _PLAN_LIMIT[0])
+        return CacheInfo(hits, misses, _plan_count(), _PLAN_LIMIT[0])
 
 
 def set_plan_cache_limit(maxsize: int) -> None:
@@ -594,15 +615,13 @@ def set_plan_cache_limit(maxsize: int) -> None:
         raise ValueError("plan cache limit must be >= 1")
     with _plan_lock:
         _PLAN_LIMIT[0] = maxsize
-        while len(_PLAN_CACHE) > maxsize:
-            _PLAN_CACHE.popitem(last=False)
+        _evict_plans(maxsize)
 
 
 def clear_plan_cache() -> None:
     """Drop all cached plans (mainly for tests and memory control)."""
     with _plan_lock:
         _PLAN_CACHE.clear()
-        _ARG_MEMO.clear()
     reset_cache_stats("conv_plan")
 
 
@@ -654,42 +673,6 @@ def clear_spectrum_cache() -> None:
     reset_cache_stats("spectrum")
 
 
-# Front memo for the functional entry point: maps primitive argument
-# tuples straight to plan objects, skipping ConvShape construction and its
-# (comparatively expensive) dataclass hashing on the steady-state path.
-# Entries only reference plans held by _PLAN_CACHE-style lookups; bounded
-# like the other caches and flushed by clear_plan_cache().
-_ARG_MEMO: OrderedDict[tuple, PolyHankelPlan] = OrderedDict()
-_ARG_MEMO_LIMIT = 256
-
-
-def _hashable(value):
-    return tuple(value) if isinstance(value, list) else value
-
-
-def _plan_for_args(x_shape, w_shape, padding, stride, dilation, groups,
-                   fft_policy, strategy, backend,
-                   layout="auto") -> PolyHankelPlan:
-    key = (x_shape, w_shape, _hashable(padding), _hashable(stride),
-           _hashable(dilation), groups, fft_policy, strategy, backend,
-           layout)
-    with _plan_lock:
-        plan = _ARG_MEMO.get(key)
-    if plan is not None:
-        # The front memo is part of the plan-cache surface: count its hits
-        # so the consolidated cache table reflects steady-state reuse.
-        record_cache_event("conv_plan", hit=True)
-        return plan
-    shape = ConvShape.from_tensors(x_shape, w_shape, padding, stride,
-                                   dilation, groups)
-    plan = get_plan(shape, fft_policy, strategy, backend, layout=layout)
-    with _plan_lock:
-        _ARG_MEMO[key] = plan
-        while len(_ARG_MEMO) > _ARG_MEMO_LIMIT:
-            _ARG_MEMO.popitem(last=False)
-    return plan
-
-
 def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
                       bias: np.ndarray | None = None,
                       padding: int | tuple | str = 0,
@@ -710,16 +693,8 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
     """
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride, dilation, groups)
-    plan = _plan_for_args(x.shape, weight.shape, padding, stride, dilation,
-                          groups, fft_policy, strategy, backend, layout)
-    shape = plan.shape
+    shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
+                                   dilation, groups)
+    plan = get_plan(shape, fft_policy, strategy, backend, layout=layout)
     out = plan.execute(x, plan.weight_spectrum(weight), check=False)
-    if bias is not None:
-        bias = ensure_array(bias, "bias", ndim=1)
-        if len(bias) != shape.f:
-            raise ValueError(
-                f"bias must have {shape.f} entries, got {len(bias)}"
-            )
-        out = out + bias[None, :, None, None]
-    return out
+    return add_bias(out, bias)

@@ -26,7 +26,7 @@ from repro.core.construction import (
 from repro.core.planning import FftPolicy, plan_fft_size
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array, require
+from repro.utils.validation import ensure_array, require
 
 
 def overlap_save_convolve(signal: np.ndarray, kernel: np.ndarray,
@@ -88,7 +88,6 @@ def conv2d_polyhankel_os(x: np.ndarray, weight: np.ndarray,
     """
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)
 
     xp = pad2d(x, padding)                                  # (n, c, ph, pw)

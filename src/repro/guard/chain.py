@@ -33,7 +33,7 @@ from repro.guard.state import GuardConfig, current_config
 from repro.observe import span
 from repro.observe.registry import counters
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import add_bias, check_bias, ensure_array
 
 
 class GuardExhaustedError(RuntimeError):
@@ -95,9 +95,9 @@ def guarded_conv2d(x: np.ndarray, weight: np.ndarray,
     config = config or current_config()
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride, dilation, groups)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
                                    dilation, groups)
+    check_bias(bias, shape.f)
     chain = fallback_chain(shape, primary=algorithm, order=config.chain)
     if not chain:  # pragma: no cover - naive supports every shape
         raise GuardExhaustedError([("-", "empty", "no supported algorithm")])
@@ -132,10 +132,7 @@ def guarded_conv2d(x: np.ndarray, weight: np.ndarray,
                                     shape.poly_product_len, config)
         if verdict.ok:
             _BREAKER.record_success(key)
-            if bias is not None:
-                bias = ensure_array(bias, "bias", ndim=1)
-                out = out + bias[None, :, None, None]
-            return out
+            return add_bias(out, bias)
         counters.add("guard.sentinel_trip", algorithm=algo.value,
                      status=verdict.status)
         counters.add("guard.fallback", algorithm=algo.value,
@@ -190,6 +187,7 @@ def guarded_convnd(x: np.ndarray, weight: np.ndarray,
     weight = ensure_array(weight, "weight", dtype=float)
     shape = op_shape(op, x.shape, weight.shape, padding, stride, dilation,
                      groups, output_padding)
+    check_bias(bias, shape.f)
     chain = fallback_chain_nd(op, x.shape, weight.shape, padding, stride,
                               dilation, groups, output_padding,
                               primary=algorithm)
@@ -234,10 +232,7 @@ def guarded_convnd(x: np.ndarray, weight: np.ndarray,
                                     shape.poly_product_len, config)
         if verdict.ok:
             _BREAKER.record_success(key)
-            if bias is not None:
-                bias = ensure_array(bias, "bias", ndim=1)
-                out = out + bias.reshape((1, -1) + (1,) * (out.ndim - 2))
-            return out
+            return add_bias(out, bias)
         counters.add("guard.sentinel_trip", algorithm=algo.value,
                      status=verdict.status)
         counters.add("guard.fallback", algorithm=algo.value,

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.baselines.registry import ConvAlgorithm, convolve
 from repro.guard.state import guard_enabled
-from repro.utils.validation import ensure_array
+from repro.utils.validation import add_bias, ensure_array
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
@@ -57,10 +57,7 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
                               groups=groups, algorithm=algorithm, **kwargs)
     out = convolve(x, weight, algorithm=algorithm, padding=padding,
                    stride=stride, dilation=dilation, groups=groups, **kwargs)
-    if bias is not None:
-        bias = ensure_array(bias, "bias", ndim=1)
-        out = out + bias[None, :, None, None]
-    return out
+    return add_bias(out, bias)
 
 
 def conv2d_async(x: np.ndarray, weight: np.ndarray,
@@ -141,10 +138,7 @@ def _convnd(op: str, x, weight, bias, padding, stride, dilation, groups,
     out = convolve_nd(x, weight, op, algorithm, padding=padding,
                       stride=stride, dilation=dilation, groups=groups,
                       **kwargs)
-    if bias is not None:
-        bias = ensure_array(bias, "bias", ndim=1)
-        out = out + bias.reshape((1, -1) + (1,) * (out.ndim - 2))
-    return out
+    return add_bias(out, bias)
 
 
 def conv_transpose2d(x: np.ndarray, weight: np.ndarray,
@@ -184,10 +178,7 @@ def conv_transpose2d(x: np.ndarray, weight: np.ndarray,
                       padding=padding, stride=stride, dilation=dilation,
                       groups=groups, output_padding=output_padding,
                       **kwargs)
-    if bias is not None:
-        bias = ensure_array(bias, "bias", ndim=1)
-        out = out + bias[None, :, None, None]
-    return out
+    return add_bias(out, bias)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from repro.guard.state import guard_enabled
 from repro.observe import span
 from repro.observe.registry import counters
 from repro.serve.coalescer import ConvRequest
+from repro.utils.validation import check_bias
 
 #: Environment knob for the default worker count (also recorded by the
 #: bench harness metadata so CI runs are comparable).
@@ -194,6 +195,8 @@ def _shard_arguments(request: ConvRequest, batch_slice: slice,
         x = x[:, g_lo * c_per:g_hi * c_per]
         weight = weight[g_lo * f_per:g_hi * f_per]
         if bias is not None:
+            # Check the whole bias: a slice of a too-long one fits.
+            bias = check_bias(bias, request.weight.shape[0])
             bias = bias[g_lo * f_per:g_hi * f_per]
     return x, weight, bias, g_hi - g_lo
 

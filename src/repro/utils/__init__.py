@@ -2,7 +2,6 @@
 
 from repro.utils.shapes import ConvShape, conv_output_size
 from repro.utils.validation import (
-    check_conv_inputs,
     ensure_array,
     require,
 )
@@ -10,7 +9,6 @@ from repro.utils.validation import (
 __all__ = [
     "ConvShape",
     "conv_output_size",
-    "check_conv_inputs",
     "ensure_array",
     "require",
 ]

@@ -20,11 +20,16 @@ All algorithms in this library speak the same shape language, captured by
 Parameters are canonicalized at construction time (symmetric tuples collapse
 back to ints, ``"same"`` resolves to concrete pads), so equal geometries
 always hash to the same plan-cache key regardless of how they were spelled.
+
+``from_tensors`` is the one validator of a convolution call's arguments.
+It memoizes the shapes it has validated on the exact call arguments, so a
+warm call looks its shape up instead of checking it again.
 """
 
 from __future__ import annotations
 
 import numbers
+import threading
 from dataclasses import dataclass, replace
 
 
@@ -178,6 +183,47 @@ def _canonical_nd(values: tuple[int, ...]) -> int | tuple[int, ...]:
     return values[0] if len(set(values)) == 1 else values
 
 
+# Validated shapes keyed on the exact from_tensors arguments.  Only plain
+# ints, strings and tuples/lists of plain ints may form a key: 1.0, True and
+# np.float64(1) all compare and hash equal to 1, so any other spelling must
+# go through the full checks instead of hitting an int's entry.
+_SHAPE_MEMO: dict[tuple, object] = {}
+_SHAPE_MEMO_LIMIT = 1024
+_shape_memo_lock = threading.Lock()
+
+
+def _memo_key(args: tuple) -> tuple | None:
+    """Hashable key of *args*, or ``None`` if any value is not exact."""
+    key = []
+    for value in args:
+        kind = type(value)
+        if kind is int or kind is str:
+            key.append(value)
+        elif (kind is tuple or kind is list) and all(
+                type(v) is int for v in value):
+            key.append(tuple(value))
+        else:
+            return None
+    return tuple(key)
+
+
+def _memoized(cls, args: tuple):
+    """``cls.from_tensors_uncached(*args)``, remembered per exact *args*
+    once it validates."""
+    key = _memo_key(args)
+    if key is None:
+        return cls.from_tensors_uncached(*args)
+    key = (cls, key)
+    shape = _SHAPE_MEMO.get(key)
+    if shape is None:
+        shape = cls.from_tensors_uncached(*args)  # raises before storing
+        with _shape_memo_lock:
+            if len(_SHAPE_MEMO) >= _SHAPE_MEMO_LIMIT:
+                del _SHAPE_MEMO[next(iter(_SHAPE_MEMO))]
+            _SHAPE_MEMO[key] = shape
+    return shape
+
+
 def conv_output_size(input_size: int, kernel_size: int,
                      padding: int | tuple[int, int] = 0, stride: int = 1,
                      dilation: int = 1) -> int:
@@ -246,16 +292,27 @@ class ConvShape:
         dh, dw = normalize_pair(self.dilation, "dilation")
         if sh < 1 or sw < 1:
             raise ValueError(
-                f"stride must be >= 1 in both axes, got ({sh}, {sw})"
+                f"stride must be >= 1 in both axes, got ({sh}, {sw}); "
+                "zero or negative strides are not a convolution"
             )
         if dh < 1 or dw < 1:
             raise ValueError(
-                f"dilation must be >= 1 in both axes, got ({dh}, {dw})"
+                f"dilation must be >= 1 in both axes, got ({dh}, {dw}); "
+                "use dilation=1 for an undilated kernel"
             )
         tblr = normalize_padding(self.padding, self.ih, self.iw,
                                  self.kh, self.kw, (sh, sw), (dh, dw))
         if min(tblr) < 0:
             raise ValueError(f"padding must be non-negative, got {tblr}")
+        pt, pb, pl, pr = tblr
+        eff_kh, eff_kw = dh * (self.kh - 1) + 1, dw * (self.kw - 1) + 1
+        if self.ih + pt + pb < eff_kh or self.iw + pl + pr < eff_kw:
+            raise ValueError(
+                f"kernel {self.kh}x{self.kw} (dilated extent "
+                f"{eff_kh}x{eff_kw}) does not fit padded input "
+                f"{self.ih + pt + pb}x{self.iw + pl + pr}; increase "
+                "padding or reduce kernel size/dilation"
+            )
         object.__setattr__(self, "stride", _canonical_pair((sh, sw)))
         object.__setattr__(self, "dilation", _canonical_pair((dh, dw)))
         object.__setattr__(self, "padding", _canonical_padding(tblr))
@@ -425,26 +482,38 @@ class ConvShape:
     def from_tensors(cls, x_shape, w_shape, padding: int | tuple | str = 0,
                      stride: int | tuple = 1, dilation: int | tuple = 1,
                      groups: int = 1) -> "ConvShape":
-        """Build a ConvShape from NCHW input and FCKhKw weight shapes.
+        """Validate a conv2d call and build its ConvShape from NCHW input
+        and FCKhKw weight shapes.
 
+        Every rejection raises ``ValueError`` naming the offending value.
         The spatial rank must be exactly 2 on *both* tensors: a rank
         mismatch (e.g. a 3D kernel against a 4D input) is rejected with an
         explicit error instead of broadcasting into a different problem —
         rank-3/rank-5 problems belong to ``conv1d``/``conv3d`` and
-        :class:`ConvShapeNd`.
+        :class:`ConvShapeNd`.  Shapes that validate are memoized on the
+        exact arguments (see the module docstring).
         """
-        if len(x_shape) != len(w_shape):
-            raise ValueError(
-                f"input rank {len(x_shape)} does not match kernel rank "
-                f"{len(w_shape)} (shapes {tuple(x_shape)} vs "
-                f"{tuple(w_shape)}): conv2d expects a 4D NCHW input and a "
-                "FCKhKw weight; rank-1/rank-3 problems belong to "
-                "conv1d/conv3d (ConvShapeNd)"
-            )
+        return _memoized(cls, (x_shape, w_shape, padding, stride,
+                               dilation, groups))
+
+    @classmethod
+    def from_tensors_uncached(cls, x_shape, w_shape,
+                              padding: int | tuple | str = 0,
+                              stride: int | tuple = 1,
+                              dilation: int | tuple = 1,
+                              groups: int = 1) -> "ConvShape":
+        """:meth:`from_tensors` without the memo: every check runs."""
         if len(x_shape) != 4:
             raise ValueError(
-                f"input must be 4D NCHW, got shape {tuple(x_shape)}; "
-                "use conv1d/conv3d (ConvShapeNd) for other spatial ranks"
+                f"input must be 4D NCHW, got {len(x_shape)}D shape "
+                f"{tuple(x_shape)}; use conv1d/conv3d (ConvShapeNd) for "
+                "other spatial ranks"
+            )
+        if len(w_shape) != 4:
+            raise ValueError(
+                f"weight must be 4D FCKhKw, got {len(w_shape)}D shape "
+                f"{tuple(w_shape)}: the kernel rank must match the 4D "
+                "input's"
             )
         n, c, ih, iw = x_shape
         f, wc, kh, kw = w_shape
@@ -668,8 +737,20 @@ class ConvShapeNd:
     def from_tensors(cls, x_shape, w_shape, padding: int | tuple | str = 0,
                      stride: int | tuple = 1, dilation: int | tuple = 1,
                      groups: int = 1) -> "ConvShapeNd":
-        """Build a ConvShapeNd from ``(n, c, *spatial)`` / ``(f, c_per,
-        *kernel)`` shapes, rejecting rank mismatches explicitly."""
+        """Validate an N-D conv call and build its ConvShapeNd from
+        ``(n, c, *spatial)`` / ``(f, c_per, *kernel)`` shapes, rejecting
+        rank mismatches explicitly; memoized like
+        :meth:`ConvShape.from_tensors`."""
+        return _memoized(cls, (x_shape, w_shape, padding, stride,
+                               dilation, groups))
+
+    @classmethod
+    def from_tensors_uncached(cls, x_shape, w_shape,
+                              padding: int | tuple | str = 0,
+                              stride: int | tuple = 1,
+                              dilation: int | tuple = 1,
+                              groups: int = 1) -> "ConvShapeNd":
+        """:meth:`from_tensors` without the memo: every check runs."""
         x_shape, w_shape = tuple(x_shape), tuple(w_shape)
         if len(x_shape) < 3:
             raise ValueError(

@@ -118,6 +118,19 @@ class TestCacheBounds:
         with pytest.raises(ValueError):
             set_plan_cache_limit(0)
 
+    def test_limit_counts_plans_not_keys(self):
+        """A plan sits under its requested and its resolved key; only
+        distinct plans count against the limit."""
+        set_plan_cache_limit(2)
+        shapes = [ConvShape(ih=ih, iw=ih, kh=3, kw=3) for ih in (6, 7)]
+        plans = [get_plan(shape, backend="numpy") for shape in shapes]
+        assert plan_cache_info().size == 2
+        for shape, plan in zip(shapes, plans):
+            assert get_plan(shape, backend="numpy") is plan
+            assert get_plan(shape, "smooth7", backend="numpy",
+                            layout=plan.layout) is plan
+        assert plan_cache_info().size == 2
+
 
 class TestAutoPolicy:
     def test_auto_resolves_per_backend(self):
@@ -129,6 +142,39 @@ class TestAutoPolicy:
     def test_auto_matches_explicit_plan(self):
         assert get_plan(SHAPE, "auto", backend="numpy") is get_plan(
             SHAPE, "smooth7", backend="numpy")
+
+    def test_hit_resolves_nothing(self, monkeypatch):
+        from repro.core import multichannel as mc
+
+        plan = get_plan(SHAPE, backend="numpy")
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a plan-cache hit resolved 'auto'")
+
+        monkeypatch.setattr(mc, "resolve_fft_policy", unexpected)
+        monkeypatch.setattr(mc, "select_spectrum_layout", unexpected)
+        assert get_plan(SHAPE, backend="numpy") is plan
+
+    def test_active_backend_switch_runs_its_plan(self, rng, monkeypatch):
+        """``backend=None`` means the active backend: a warm call made
+        under another active backend must run that backend's plan."""
+        from repro.core import multichannel as mc
+        from repro.fft import use_backend
+
+        ran = []
+        execute = mc.PolyHankelPlan.execute
+
+        def spy(plan, *args, **kwargs):
+            ran.append((plan.backend, plan.fft_policy))
+            return execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(mc.PolyHankelPlan, "execute", spy)
+        x, w = _problem(rng)
+        with use_backend("numpy"):
+            conv2d_polyhankel(x, w, padding=1)
+        with use_backend("builtin"):
+            conv2d_polyhankel(x, w, padding=1)
+        assert ran == [("numpy", "smooth7"), ("builtin", "pow2")]
 
     def test_direct_construction_keeps_pow2_default(self):
         plan = PolyHankelPlan(SHAPE)

@@ -61,14 +61,23 @@ class TestHeartbeats:
 
     def test_workers_stamp_their_generation(self, rng):
         """After serving, every replica's heartbeat carries the current
-        spawn generation and the worker's own pid."""
+        spawn generation and the worker's own pid.
+
+        A replica that served nothing may not have written its start-up
+        heartbeat yet when the first reply returns, so each stamp is
+        polled for up to a bounded deadline before the assertions."""
         x = rng.standard_normal((1, 3, 8, 8))
         w = rng.standard_normal((2, 3, 3, 3))
         with make_server() as server:
             server.conv2d(x, w, padding=1, timeout=30)
             pids = server.worker_pids()
+            deadline = time.monotonic() + 10.0
             for replica_id, pid in enumerate(pids):
                 record = server._arena.read_heartbeat(replica_id)
+                while record["generation"] == 0 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                    record = server._arena.read_heartbeat(replica_id)
                 assert record["generation"] == 1
                 assert record["pid"] == pid
                 assert record["stamp"] > 0.0

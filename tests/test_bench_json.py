@@ -19,8 +19,11 @@ def test_smoke_suite_schema(tmp_path):
     # v2 added the per-case deterministic FFT counters (see --check gate);
     # v3 added the guard_fallbacks counter (zero on a healthy install);
     # v4 added the resolved spectrum layout and roofline_pct;
-    # v5 added the N-dimensional operator presets (rows carrying "op").
-    assert report["schema"] == bench.SCHEMA_VERSION == 5
+    # v5 added the N-dimensional operator presets (rows carrying "op");
+    # v6 added the ``cluster`` section (multi-process saturation sweep);
+    # v7 added the ``overload`` section (offered-load sweep);
+    # v8 added the ``selection`` section (bandit regret replay).
+    assert report["schema"] == bench.SCHEMA_VERSION == 8
     for row in report["results"]:
         assert row["counters"]["fft_calls"] >= 2
         assert row["counters"]["guard_fallbacks"] == 0

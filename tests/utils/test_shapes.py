@@ -1,5 +1,6 @@
 """Tests for repro.utils.shapes."""
 
+import numpy as np
 import pytest
 
 from repro.utils.shapes import ConvShape, ConvShapeNd, conv_output_size
@@ -201,3 +202,104 @@ class TestConvShapeNd:
     def test_to_2d_rejects_other_ranks(self):
         with pytest.raises(ValueError, match="rank-2"):
             ConvShapeNd(extents=(8,), kernel=(3,)).to_2d()
+
+
+class TestFromTensorsMemo:
+    """``from_tensors`` remembers validated shapes by exact arguments; the
+    memo may skip checks only where they would pass again."""
+
+    X, W = (1, 4, 8, 8), (4, 4, 3, 3)
+
+    @pytest.mark.parametrize("stride", [1.0, np.float64(1), (1, 1.0)])
+    def test_float_spellings_still_rejected_after_int_hit(self, stride):
+        ConvShape.from_tensors(self.X, self.W, 1, 1)
+        ConvShape.from_tensors(self.X, self.W, 1, (1, 1))
+        with pytest.raises(ValueError, match="must be an integer"):
+            ConvShape.from_tensors(self.X, self.W, 1, stride)
+        with pytest.raises(ValueError, match="must be an integer"):
+            ConvShapeNd.from_tensors(self.X, self.W, 1, stride)
+
+    def test_numpy_ints_accepted(self):
+        shape = ConvShape.from_tensors(self.X, self.W, 1, np.int64(1))
+        assert shape == ConvShape.from_tensors(self.X, self.W, 1, 1)
+        assert type(shape.stride) is int
+
+    def test_list_and_tuple_spellings_give_equal_shapes(self):
+        for cls in (ConvShape, ConvShapeNd):
+            a = cls.from_tensors(list(self.X), list(self.W), [1, 0, 1, 0],
+                                 [1, 2], [1, 1])
+            b = cls.from_tensors(self.X, self.W, (1, 0, 1, 0), (1, 2),
+                                 (1, 1))
+            assert a == b and hash(a) == hash(b)
+
+    def test_hit_returns_the_validated_shape(self):
+        first = ConvShape.from_tensors(self.X, self.W, "same", 2)
+        assert ConvShape.from_tensors(self.X, self.W, "same", 2) is first
+
+    def test_rejections_are_not_remembered(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not fit"):
+                ConvShape.from_tensors((1, 1, 4, 4), (1, 1, 6, 6))
+
+    def test_memo_stays_bounded(self):
+        from repro.utils import shapes
+
+        for ih in range(3, 3 + shapes._SHAPE_MEMO_LIMIT + 50):
+            ConvShape.from_tensors((1, 1, ih, 3), (1, 1, 3, 3))
+        assert len(shapes._SHAPE_MEMO) <= shapes._SHAPE_MEMO_LIMIT
+
+    def test_concurrent_lookups_stay_bounded_and_exact(self):
+        """Threads inserting past the bound (evicting as they go) never
+        lose the memo's invariants: bounded size, exact shapes."""
+        import sys
+        import threading
+
+        from repro.utils import shapes
+
+        extents = range(3, 3 + shapes._SHAPE_MEMO_LIMIT // 2)
+        errors = []
+
+        def work(kernel):
+            try:
+                for ih in extents:
+                    got = ConvShape.from_tensors((1, 1, ih, 5),
+                                                 (1, 1, kernel, kernel))
+                    assert (got.ih, got.kh) == (ih, kernel)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in (1, 2, 3, 1, 2, 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(shapes._SHAPE_MEMO) <= shapes._SHAPE_MEMO_LIMIT
+
+    def test_warm_conv2d_runs_no_shape_validation(self, monkeypatch):
+        """A second identical F.conv2d builds no ConvShape: both of its
+        lookups (registry dispatch and engine) hit the memo."""
+        from repro.nn import functional as F
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 3, 8, 8))
+        w = rng.standard_normal((4, 3, 3, 3))
+        F.conv2d(x, w, padding=1)
+        runs = []
+        post_init = ConvShape.__post_init__
+
+        def counting(shape):
+            runs.append(shape)
+            post_init(shape)
+
+        monkeypatch.setattr(ConvShape, "__post_init__", counting)
+        F.conv2d(x, w, padding=1)
+        assert runs == []
+

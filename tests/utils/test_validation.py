@@ -1,9 +1,13 @@
-"""Tests for repro.utils.validation."""
+"""Tests for repro.utils.validation and the conv-argument checks of
+``ConvShape.from_tensors``, the library's one conv-call validator."""
 
 import numpy as np
 import pytest
 
-from repro.utils.validation import check_conv_inputs, ensure_array, require
+from repro.utils.shapes import ConvShape
+from repro.utils.validation import add_bias, check_bias, ensure_array, require
+
+from_tensors = ConvShape.from_tensors
 
 
 class TestRequire:
@@ -33,44 +37,71 @@ class TestEnsureArray:
         assert ensure_array(arr) is arr
 
 
+class TestBias:
+    def test_add_bias_per_channel(self):
+        out = np.zeros((2, 3, 4, 4))
+        bias = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(add_bias(out, bias),
+                              out + bias[None, :, None, None])
+        assert add_bias(out, None) is out
+
+    def test_add_bias_any_rank(self):
+        out = np.zeros((2, 3, 5))
+        assert np.array_equal(add_bias(out, [1.0, 2.0, 3.0])[0, :, 0],
+                              [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [[1.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_wrong_length_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"bias must have 3 entries"):
+            add_bias(np.zeros((1, 3, 2, 2)), np.array(bad))
+        with pytest.raises(ValueError, match=r"bias must have 3 entries"):
+            check_bias(np.array(bad), 3)
+
+    def test_bias_must_be_1d(self):
+        with pytest.raises(ValueError, match="must have 1 dimensions"):
+            check_bias(np.zeros((3, 1)), 3)
+
+
 class TestCheckConvInputs:
+    """The rejections ``ConvShape.from_tensors`` owns for a conv2d call."""
+
     def _xw(self):
-        return np.zeros((1, 3, 8, 8)), np.zeros((4, 3, 3, 3))
+        return (1, 3, 8, 8), (4, 3, 3, 3)
 
     def test_valid(self):
         x, w = self._xw()
-        check_conv_inputs(x, w, padding=1, stride=1)
+        from_tensors(x, w, padding=1, stride=1)
 
     def test_input_rank(self):
         _, w = self._xw()
         with pytest.raises(ValueError, match="4D NCHW"):
-            check_conv_inputs(np.zeros((3, 8, 8)), w, 0, 1)
+            from_tensors((3, 8, 8), w, 0, 1)
 
     def test_weight_rank(self):
         x, _ = self._xw()
         with pytest.raises(ValueError, match="4D FCKhKw"):
-            check_conv_inputs(x, np.zeros((4, 3, 3)), 0, 1)
+            from_tensors(x, (4, 3, 3), 0, 1)
 
     def test_channel_mismatch(self):
         x, _ = self._xw()
         with pytest.raises(ValueError, match="channel mismatch"):
-            check_conv_inputs(x, np.zeros((4, 2, 3, 3)), 0, 1)
+            from_tensors(x, (4, 2, 3, 3), 0, 1)
 
     def test_negative_padding(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match="padding"):
-            check_conv_inputs(x, w, -1, 1)
+            from_tensors(x, w, -1, 1)
 
     def test_zero_stride(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match="stride"):
-            check_conv_inputs(x, w, 0, 0)
+            from_tensors(x, w, 0, 0)
 
     def test_kernel_does_not_fit(self):
-        x = np.zeros((1, 1, 4, 4))
-        w = np.zeros((1, 1, 6, 6))
+        x = (1, 1, 4, 4)
+        w = (1, 1, 6, 6)
         with pytest.raises(ValueError, match="does not fit"):
-            check_conv_inputs(x, w, 0, 1)
+            from_tensors(x, w, 0, 1)
 
 
 class TestCheckConvInputsExtended:
@@ -82,14 +113,14 @@ class TestCheckConvInputsExtended:
     """
 
     def _xw(self):
-        return np.zeros((1, 4, 8, 8)), np.zeros((4, 4, 3, 3))
+        return (1, 4, 8, 8), (4, 4, 3, 3)
 
     def test_valid_full_params(self):
-        x = np.zeros((1, 4, 9, 8))
-        w = np.zeros((4, 2, 3, 3))
-        check_conv_inputs(x, w, padding=(1, 0, 2, 1), stride=(1, 2),
+        x = (1, 4, 9, 8)
+        w = (4, 2, 3, 3)
+        from_tensors(x, w, padding=(1, 0, 2, 1), stride=(1, 2),
                           dilation=(2, 1), groups=2)
-        check_conv_inputs(x, w, padding="same", stride=2, dilation=2,
+        from_tensors(x, w, padding="same", stride=2, dilation=2,
                           groups=2)
 
     @pytest.mark.parametrize("stride", [0, -1, (0, 1), (1, -2)])
@@ -97,51 +128,51 @@ class TestCheckConvInputsExtended:
         x, w = self._xw()
         with pytest.raises(ValueError,
                            match="stride must be >= 1 in both axes"):
-            check_conv_inputs(x, w, 1, stride)
+            from_tensors(x, w, 1, stride)
 
     @pytest.mark.parametrize("dilation", [0, -1, (0, 2), (2, -1)])
     def test_nonpositive_dilation(self, dilation):
         x, w = self._xw()
         with pytest.raises(ValueError,
                            match="dilation must be >= 1 in both axes"):
-            check_conv_inputs(x, w, 1, 1, dilation=dilation)
+            from_tensors(x, w, 1, 1, dilation=dilation)
 
     def test_dilated_extent_does_not_fit(self):
         """A 3x3 kernel at dilation 4 spans 9 pixels — more than the 8+0
         padded input; the message must surface the dilated extent."""
         x, w = self._xw()
         with pytest.raises(ValueError, match=r"dilated extent 9x9"):
-            check_conv_inputs(x, w, 0, 1, dilation=4)
+            from_tensors(x, w, 0, 1, dilation=4)
 
     def test_dilated_extent_fits_with_padding(self):
         x, w = self._xw()
-        check_conv_inputs(x, w, 1, 1, dilation=4)  # 8+2 >= 9: fine
+        from_tensors(x, w, 1, 1, dilation=4)  # 8+2 >= 9: fine
 
     def test_negative_asymmetric_padding(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match="padding must be non-negative"):
-            check_conv_inputs(x, w, (1, -1, 0, 0), 1)
+            from_tensors(x, w, (1, -1, 0, 0), 1)
 
     def test_zero_groups(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match="groups must be positive"):
-            check_conv_inputs(x, w, 1, 1, groups=0)
+            from_tensors(x, w, 1, 1, groups=0)
 
     def test_channels_not_divisible_by_groups(self):
         x, _ = self._xw()
         with pytest.raises(ValueError, match="divisible by groups"):
-            check_conv_inputs(x, np.zeros((3, 1, 3, 3)), 1, 1, groups=3)
+            from_tensors(x, (3, 1, 3, 3), 1, 1, groups=3)
 
     def test_group_channel_mismatch(self):
         x, w = self._xw()  # weight has 4 channel taps, C/groups is 2
         with pytest.raises(ValueError, match="C/groups"):
-            check_conv_inputs(x, w, 1, 1, groups=2)
+            from_tensors(x, w, 1, 1, groups=2)
 
     @pytest.mark.parametrize("bad", [(1, 2, 3), (1, 2, 3, 4, 5)])
     def test_malformed_padding_tuple(self, bad):
         x, w = self._xw()
         with pytest.raises(ValueError, match="padding"):
-            check_conv_inputs(x, w, bad, 1)
+            from_tensors(x, w, bad, 1)
 
 
 class TestIntegralityRejection:
@@ -153,33 +184,33 @@ class TestIntegralityRejection:
     """
 
     def _xw(self):
-        return np.zeros((1, 4, 8, 8)), np.zeros((4, 4, 3, 3))
+        return (1, 4, 8, 8), (4, 4, 3, 3)
 
     @pytest.mark.parametrize("stride", [1.9, 2.0, (1, 1.5), "2"])
     def test_non_integral_stride(self, stride):
         x, w = self._xw()
         with pytest.raises(ValueError, match="stride must be an integer"):
-            check_conv_inputs(x, w, 1, stride)
+            from_tensors(x, w, 1, stride)
 
     @pytest.mark.parametrize("dilation", [0.5, (2, 2.5)])
     def test_non_integral_dilation(self, dilation):
         x, w = self._xw()
         with pytest.raises(ValueError, match="dilation must be an integer"):
-            check_conv_inputs(x, w, 1, 1, dilation=dilation)
+            from_tensors(x, w, 1, 1, dilation=dilation)
 
     @pytest.mark.parametrize("groups", [2.5, 2.0, "4"])
     def test_non_integral_groups(self, groups):
         x, w = self._xw()
         with pytest.raises(ValueError, match="groups must be an integer"):
-            check_conv_inputs(x, w, 1, 1, groups=groups)
+            from_tensors(x, w, 1, 1, groups=groups)
 
     def test_message_names_value_and_type(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match=r"got 1\.9 of type float"):
-            check_conv_inputs(x, w, 1, 1.9)
+            from_tensors(x, w, 1, 1.9)
 
     def test_numpy_integers_accepted(self):
-        x = np.zeros((1, 4, 8, 8))
-        w = np.zeros((4, 2, 3, 3))  # C/groups = 2 channel taps
-        check_conv_inputs(x, w, 1, np.int64(2), dilation=np.int32(1),
+        x = (1, 4, 8, 8)
+        w = (4, 2, 3, 3)  # C/groups = 2 channel taps
+        from_tensors(x, w, 1, np.int64(2), dilation=np.int32(1),
                           groups=np.int64(2))
